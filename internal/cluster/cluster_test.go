@@ -1,7 +1,9 @@
 package cluster_test
 
 import (
+	"bytes"
 	"context"
+	"encoding/binary"
 	"fmt"
 	"io"
 	"net"
@@ -13,6 +15,7 @@ import (
 
 	"selfheal/internal/cluster"
 	"selfheal/internal/data"
+	"selfheal/internal/durable"
 	"selfheal/internal/fuzz"
 	"selfheal/internal/httpapi"
 	"selfheal/internal/obs"
@@ -308,6 +311,50 @@ func TestCrossNodeRunTokenHandoff(t *testing.T) {
 	if sent == 0 {
 		t.Fatalf("expected at least one cross-node token handoff")
 	}
+}
+
+// Malformed internal bodies are refused with 400 and the node goes on
+// serving — the same cluster still completes a run afterwards:
+//   - a CRC-valid 17-byte binary push whose repair record claims 2^40
+//     accused instances (the decoder refuses a count larger than the
+//     bytes left instead of allocating for it);
+//   - a batched submit holding a null entry.
+func TestInternalRejectsMalformedBodies(t *testing.T) {
+	ids := []string{"a", "b"}
+	h := startCluster(t, ids, false, nil)
+	payload := []byte{3}                           // kind = repair
+	payload = binary.AppendUvarint(payload, 1)     // seq
+	payload = binary.AppendUvarint(payload, 0)     // empty origin
+	payload = binary.AppendUvarint(payload, 1<<40) // accused-instance count
+	oversized := durable.AppendFrame(nil, payload)
+	if len(oversized) != 17 {
+		t.Fatalf("crafted body is %d bytes, want 17", len(oversized))
+	}
+	stamper := cluster.NewRing(ids).Stamper()
+	for _, c := range []struct {
+		name, node, path, ctype string
+		body                    []byte
+	}{
+		{"oversized count", h.follower(), "/internal/v1/commits", "application/x-selfheal-records", oversized},
+		{"null entry", stamper, "/internal/v1/submit", "application/json", []byte(`{"origin":"x","entries":[null]}`)},
+	} {
+		resp, err := http.Post(h.url(c.node)+c.path, c.ctype, bytes.NewReader(c.body))
+		if err != nil {
+			t.Fatalf("%s: post: %v", c.name, err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("%s: status %d, want 400", c.name, resp.StatusCode)
+		}
+	}
+	keys := keysByOwner(ids, 1)
+	entry := h.nodes[h.follower()]
+	if err := entry.SubmitRunSpec("after", chainSpec([]string{keys["a"][0], keys["b"][0]}, 3)); err != nil {
+		t.Fatalf("submit after malformed bodies: %v", err)
+	}
+	waitRunDone(t, entry, "after", 10*time.Second)
+	h.waitIdle("a", 10*time.Second)
+	h.assertStoresIdentical()
 }
 
 // The acceptance criterion: generated attack schedules driven through a

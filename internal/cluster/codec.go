@@ -1,10 +1,10 @@
 package cluster
 
 import (
+	"bytes"
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
-	"math"
 	"sort"
 
 	"selfheal/internal/durable"
@@ -22,130 +22,20 @@ import (
 //
 // Spec bodies embed the run document as canonical JSON bytes (specs are
 // rare control-plane records; the hot path is entries). Entry bodies are
-// fully binary with sorted map keys, so encoding is deterministic: the
-// same record always produces the same bytes on every node.
+// internal/durable's WAL entry encoding without its kind byte and LSN
+// (durable.AppendEntryBody), with sorted map keys, so encoding is
+// deterministic: the same record always produces the same bytes on every
+// node. Payloads are written and read with durable's primitives.
 
 const (
 	recSpec   byte = 1
 	recEntry  byte = 2
 	recRepair byte = 3
-
-	entryForged byte = 1 << 0
-	entryChosen byte = 1 << 1
 )
 
 // recordsContentType marks a binary framed-record request/response body on
-// the /internal/v1/commits wire (JSON remains the curl-able default).
+// the /internal/v1/commits wire (JSON remains the curl-able GET default).
 const recordsContentType = "application/x-selfheal-records"
-
-func appendUvarint(dst []byte, v uint64) []byte { return binary.AppendUvarint(dst, v) }
-func appendVarint(dst []byte, v int64) []byte   { return binary.AppendVarint(dst, v) }
-
-func appendString(dst []byte, s string) []byte {
-	dst = appendUvarint(dst, uint64(len(s)))
-	return append(dst, s...)
-}
-
-func appendBytes(dst, b []byte) []byte {
-	dst = appendUvarint(dst, uint64(len(b)))
-	return append(dst, b...)
-}
-
-func appendF64(dst []byte, f float64) []byte {
-	return binary.LittleEndian.AppendUint64(dst, math.Float64bits(f))
-}
-
-// recReader decodes one record payload with a sticky error: after the
-// first failure every further read returns zero values, so decode code
-// stays linear and checks err once at the end.
-type recReader struct {
-	b   []byte
-	err error
-}
-
-func (r *recReader) fail(what string) {
-	if r.err == nil {
-		r.err = fmt.Errorf("cluster: record codec: truncated %s", what)
-	}
-}
-
-func (r *recReader) byteVal(what string) byte {
-	if r.err != nil || len(r.b) < 1 {
-		r.fail(what)
-		return 0
-	}
-	v := r.b[0]
-	r.b = r.b[1:]
-	return v
-}
-
-func (r *recReader) uvarint(what string) uint64 {
-	if r.err != nil {
-		return 0
-	}
-	v, n := binary.Uvarint(r.b)
-	if n <= 0 {
-		r.fail(what)
-		return 0
-	}
-	r.b = r.b[n:]
-	return v
-}
-
-func (r *recReader) varint(what string) int64 {
-	if r.err != nil {
-		return 0
-	}
-	v, n := binary.Varint(r.b)
-	if n <= 0 {
-		r.fail(what)
-		return 0
-	}
-	r.b = r.b[n:]
-	return v
-}
-
-func (r *recReader) str(what string) string {
-	n := r.uvarint(what)
-	if r.err != nil || uint64(len(r.b)) < n {
-		r.fail(what)
-		return ""
-	}
-	s := string(r.b[:n])
-	r.b = r.b[n:]
-	return s
-}
-
-func (r *recReader) bytes(what string) []byte {
-	n := r.uvarint(what)
-	if r.err != nil || uint64(len(r.b)) < n {
-		r.fail(what)
-		return nil
-	}
-	b := r.b[:n]
-	r.b = r.b[n:]
-	return b
-}
-
-func (r *recReader) f64(what string) float64 {
-	if r.err != nil || len(r.b) < 8 {
-		r.fail(what)
-		return 0
-	}
-	v := math.Float64frombits(binary.LittleEndian.Uint64(r.b))
-	r.b = r.b[8:]
-	return v
-}
-
-func (r *recReader) finish() error {
-	if r.err != nil {
-		return r.err
-	}
-	if len(r.b) != 0 {
-		return fmt.Errorf("cluster: record codec: %d trailing bytes", len(r.b))
-	}
-	return nil
-}
 
 // encodeRecord appends the binary payload (unframed) of rec to dst.
 func encodeRecord(dst []byte, rec *Record) []byte {
@@ -161,158 +51,85 @@ func encodeRecord(dst []byte, rec *Record) []byte {
 		// above); encode as an explicit zero so decode rejects it loudly.
 		dst = append(dst, 0)
 	}
-	dst = appendUvarint(dst, uint64(rec.Seq))
-	dst = appendString(dst, rec.Origin)
+	dst = binary.AppendUvarint(dst, uint64(rec.Seq))
+	dst = durable.AppendString(dst, rec.Origin)
 	switch rec.Kind {
 	case KindSpec:
-		dst = appendString(dst, rec.Run)
+		dst = durable.AppendString(dst, rec.Run)
 		doc, err := json.Marshal(rec.Spec)
 		if err != nil || rec.Spec == nil {
 			doc = nil
 		}
-		dst = appendBytes(dst, doc)
+		dst = durable.AppendBytes(dst, doc)
 		keys := make([]string, 0, len(rec.Init))
 		for k := range rec.Init {
 			keys = append(keys, k)
 		}
 		sort.Strings(keys)
-		dst = appendUvarint(dst, uint64(len(keys)))
+		dst = binary.AppendUvarint(dst, uint64(len(keys)))
 		for _, k := range keys {
-			dst = appendString(dst, k)
-			dst = appendVarint(dst, rec.Init[k])
+			dst = durable.AppendString(dst, k)
+			dst = binary.AppendVarint(dst, rec.Init[k])
 		}
 	case KindEntry:
-		dst = encodeEntryJSON(dst, rec.Entry)
+		dst = durable.AppendEntryBody(dst, rec.Entry)
 	case KindRepair:
-		dst = appendUvarint(dst, uint64(len(rec.Bad)))
+		dst = binary.AppendUvarint(dst, uint64(len(rec.Bad)))
 		for _, id := range rec.Bad {
-			dst = appendString(dst, id)
+			dst = durable.AppendString(dst, id)
 		}
-	}
-	return dst
-}
-
-func encodeEntryJSON(dst []byte, ej *EntryJSON) []byte {
-	dst = appendString(dst, ej.Run)
-	dst = appendString(dst, ej.Task)
-	dst = appendUvarint(dst, uint64(ej.Visit))
-	var flags byte
-	if ej.Forged {
-		flags |= entryForged
-	}
-	if ej.Chosen != "" {
-		flags |= entryChosen
-	}
-	dst = append(dst, flags)
-	if ej.Chosen != "" {
-		dst = appendString(dst, ej.Chosen)
-	}
-	rkeys := make([]string, 0, len(ej.Reads))
-	for k := range ej.Reads {
-		rkeys = append(rkeys, k)
-	}
-	sort.Strings(rkeys)
-	dst = appendUvarint(dst, uint64(len(rkeys)))
-	for _, k := range rkeys {
-		o := ej.Reads[k]
-		dst = appendString(dst, k)
-		dst = appendVarint(dst, o.Value)
-		dst = appendString(dst, o.Writer)
-		dst = appendF64(dst, o.WriterPos)
-	}
-	wkeys := make([]string, 0, len(ej.Writes))
-	for k := range ej.Writes {
-		wkeys = append(wkeys, k)
-	}
-	sort.Strings(wkeys)
-	dst = appendUvarint(dst, uint64(len(wkeys)))
-	for _, k := range wkeys {
-		dst = appendString(dst, k)
-		dst = appendVarint(dst, ej.Writes[k])
 	}
 	return dst
 }
 
 // decodeRecord decodes one binary record payload.
 func decodeRecord(p []byte) (*Record, error) {
-	r := &recReader{b: p}
-	kind := r.byteVal("kind")
+	r := durable.NewReader(p)
+	kind := r.Byte()
 	rec := &Record{
-		Seq:    int(r.uvarint("seq")),
-		Origin: r.str("origin"),
+		Seq:    int(r.Uvarint()),
+		Origin: r.Str(),
 	}
 	switch kind {
 	case recSpec:
 		rec.Kind = KindSpec
-		rec.Run = r.str("run")
-		doc := r.bytes("spec")
-		if r.err == nil && len(doc) > 0 {
+		rec.Run = r.Str()
+		doc := r.Bytes()
+		if r.Err() == nil && len(doc) > 0 {
 			rec.Spec = new(wfjson.SpecJSON)
 			if err := json.Unmarshal(doc, rec.Spec); err != nil {
 				return nil, fmt.Errorf("cluster: record codec: spec document: %w", err)
 			}
+			// Only the canonical document re-encodes to the same bytes.
+			if canon, _ := json.Marshal(rec.Spec); !bytes.Equal(canon, doc) {
+				return nil, fmt.Errorf("cluster: record codec: spec document is not canonical JSON")
+			}
 		}
-		n := r.uvarint("init count")
-		if r.err == nil && n > 0 {
+		if n := r.Count(); n > 0 {
 			rec.Init = make(map[string]int64, n)
-			for i := uint64(0); i < n; i++ {
-				k := r.str("init key")
-				rec.Init[k] = r.varint("init value")
+			var k string
+			for i := 0; i < n && r.Err() == nil; i++ {
+				k = r.Key(i, k)
+				rec.Init[k] = r.Varint()
 			}
 		}
 	case recEntry:
 		rec.Kind = KindEntry
-		rec.Entry = decodeEntryJSON(r)
+		rec.Entry = r.EntryBody()
 	case recRepair:
 		rec.Kind = KindRepair
-		n := r.uvarint("bad count")
-		if r.err == nil {
-			rec.Bad = make([]string, 0, n)
-			for i := uint64(0); i < n; i++ {
-				rec.Bad = append(rec.Bad, r.str("bad id"))
-			}
+		n := r.Count()
+		rec.Bad = make([]string, 0, n)
+		for i := 0; i < n && r.Err() == nil; i++ {
+			rec.Bad = append(rec.Bad, r.Str())
 		}
 	default:
 		return nil, fmt.Errorf("cluster: record codec: unknown kind byte %d", kind)
 	}
-	if err := r.finish(); err != nil {
-		return nil, err
+	if err := r.Finish(); err != nil {
+		return nil, fmt.Errorf("cluster: record codec: %w", err)
 	}
 	return rec, nil
-}
-
-func decodeEntryJSON(r *recReader) *EntryJSON {
-	ej := &EntryJSON{
-		Run:   r.str("entry run"),
-		Task:  r.str("entry task"),
-		Visit: int(r.uvarint("entry visit")),
-	}
-	flags := r.byteVal("entry flags")
-	ej.Forged = flags&entryForged != 0
-	if flags&entryChosen != 0 {
-		ej.Chosen = r.str("entry chosen")
-	}
-	nr := r.uvarint("read count")
-	if r.err == nil && nr > 0 {
-		ej.Reads = make(map[string]ReadObsJSON, nr)
-		for i := uint64(0); i < nr; i++ {
-			k := r.str("read key")
-			ej.Reads[k] = ReadObsJSON{
-				Value:     r.varint("read value"),
-				Writer:    r.str("read writer"),
-				WriterPos: r.f64("read writer pos"),
-			}
-		}
-	}
-	nw := r.uvarint("write count")
-	if r.err == nil && nw > 0 {
-		ej.Writes = make(map[string]int64, nw)
-		for i := uint64(0); i < nw; i++ {
-			k := r.str("write key")
-			ej.Writes[k] = r.varint("write value")
-		}
-	}
-	return ej
 }
 
 // encodeFramedRecord appends rec as one CRC-framed payload to dst — the

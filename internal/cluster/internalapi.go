@@ -61,11 +61,8 @@ type appliedDoc struct {
 }
 
 type submitReq struct {
-	Origin string `json:"origin"`
-	// Entry is the single-entry form; Entries is the batch form the
-	// pipelined executor uses. Exactly one of them is set.
-	Entry   *EntryJSON   `json:"entry,omitempty"`
-	Entries []*EntryJSON `json:"entries,omitempty"`
+	Origin  string        `json:"origin"`
+	Entries []*wlog.Entry `json:"entries,omitempty"`
 }
 
 type submitResp struct {
@@ -226,26 +223,23 @@ func (n *Node) handleCommitsPull(w http.ResponseWriter, r *http.Request) {
 	writeInternalJSON(w, http.StatusOK, commitsDoc{Records: recs})
 }
 
+// handleCommitsPush applies a pushed binary replication body. Pushes are
+// always binary; any other content type is refused.
 func (n *Node) handleCommitsPush(w http.ResponseWriter, r *http.Request) {
-	var recs []Record
-	if strings.HasPrefix(r.Header.Get("Content-Type"), recordsContentType) {
-		raw, err := io.ReadAll(io.LimitReader(r.Body, 64<<20))
-		if err != nil {
-			writeInternalErr(w, http.StatusBadRequest, "bad_request", err.Error())
-			return
-		}
-		n.o.replicationBytes("in", len(raw))
-		recs, err = decodeWireRecords(raw)
-		if err != nil {
-			writeInternalErr(w, http.StatusBadRequest, "bad_request", err.Error())
-			return
-		}
-	} else {
-		var doc commitsDoc
-		if !decodeInternal(w, r, &doc) {
-			return
-		}
-		recs = doc.Records
+	if !strings.HasPrefix(r.Header.Get("Content-Type"), recordsContentType) {
+		writeInternalErr(w, http.StatusUnsupportedMediaType, "bad_request", "commits push body must be "+recordsContentType)
+		return
+	}
+	raw, err := io.ReadAll(io.LimitReader(r.Body, 64<<20))
+	if err != nil {
+		writeInternalErr(w, http.StatusBadRequest, "bad_request", err.Error())
+		return
+	}
+	n.o.replicationBytes("in", len(raw))
+	recs, err := decodeWireRecords(raw)
+	if err != nil {
+		writeInternalErr(w, http.StatusBadRequest, "bad_request", err.Error())
+		return
 	}
 	for i := range recs {
 		if err := n.applyRecord(&recs[i]); err != nil {
@@ -273,20 +267,22 @@ func (n *Node) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	if !decodeInternal(w, r, &req) {
 		return
 	}
-	if len(req.Entries) > 0 {
-		results, err := n.st.SubmitEntries(req.Origin, req.Entries)
-		if err != nil {
-			writeMappedErr(w, err)
+	if len(req.Entries) == 0 {
+		writeInternalErr(w, http.StatusBadRequest, "bad_request", "submit without entries")
+		return
+	}
+	for _, e := range req.Entries {
+		if e == nil {
+			writeInternalErr(w, http.StatusBadRequest, "bad_request", "submit with a null entry")
 			return
 		}
-		writeInternalJSON(w, http.StatusOK, submitResp{Results: results})
+	}
+	results, err := n.st.SubmitEntries(req.Origin, req.Entries)
+	if err != nil {
+		writeMappedErr(w, err)
 		return
 	}
-	if req.Entry == nil {
-		writeInternalErr(w, http.StatusBadRequest, "bad_request", "submit without entry")
-		return
-	}
-	writeInternalJSON(w, http.StatusOK, n.st.SubmitEntry(req.Origin, req.Entry))
+	writeInternalJSON(w, http.StatusOK, submitResp{Results: results})
 }
 
 func (n *Node) handleSpec(w http.ResponseWriter, r *http.Request) {
@@ -520,7 +516,7 @@ func (c *peerClient) pushCommits(addr string, body []byte) (int, error) {
 	return ack.Applied, nil
 }
 
-func (c *peerClient) submitEntries(addr, origin string, entries []*EntryJSON) ([]SubmitResult, error) {
+func (c *peerClient) submitEntries(addr, origin string, entries []*wlog.Entry) ([]SubmitResult, error) {
 	var resp submitResp
 	err := c.call(c.long, http.MethodPost, addr, "/internal/v1/submit", submitReq{Origin: origin, Entries: entries}, &resp)
 	if err != nil {

@@ -413,7 +413,7 @@ func (n *Node) executeWindow(run string, spec *wf.Spec, cur wf.TaskID, visit int
 	}
 	nextLSN := n.rep.NextLSN()
 	overlay := make(map[data.Key]wlog.ReadObs)
-	batch := make([]*EntryJSON, 0, window)
+	batch := make([]*wlog.Entry, 0, window)
 	wcur, wvisit := cur, visit
 	for len(batch) < window {
 		task := spec.Tasks[wcur]
@@ -441,36 +441,26 @@ func (n *Node) executeWindow(run string, spec *wf.Spec, cur wf.TaskID, visit int
 			obsv[k] = o
 			vals[k] = o.Value
 		}
-		written := make(map[string]int64, len(task.Writes))
+		written := make(map[data.Key]data.Value, len(task.Writes))
 		if task.Compute != nil {
 			out := task.Compute(vals)
 			for _, k := range task.Writes {
-				written[string(k)] = int64(out[k])
+				written[k] = out[k]
 			}
 		} else {
 			for _, k := range task.Writes {
-				written[string(k)] = 0
+				written[k] = 0
 			}
 		}
-		chosen := ""
+		var chosen wf.TaskID
 		if len(task.Next) > 1 {
-			chosen = string(task.Choose(vals))
+			chosen = task.Choose(vals)
 		}
-		ej := &EntryJSON{
-			Run:    run,
-			Task:   string(wcur),
-			Visit:  wvisit,
-			Reads:  make(map[string]ReadObsJSON, len(obsv)),
-			Writes: written,
-			Chosen: chosen,
-		}
-		for k, o := range obsv {
-			ej.Reads[string(k)] = ReadObsJSON{Value: int64(o.Value), Writer: o.Writer, WriterPos: o.WriterPos}
-		}
-		batch = append(batch, ej)
-		inst := wlog.FormatInstance(run, wcur, wvisit)
+		e := &wlog.Entry{Run: run, Task: wcur, Visit: wvisit, Reads: obsv, Writes: written, Chosen: chosen}
+		batch = append(batch, e)
+		inst := string(e.ID())
 		for k, v := range written {
-			overlay[data.Key(k)] = wlog.ReadObs{Value: data.Value(v), Writer: string(inst), WriterPos: float64(nextLSN)}
+			overlay[k] = wlog.ReadObs{Value: v, Writer: inst, WriterPos: float64(nextLSN)}
 		}
 		visits[wcur] = wvisit
 		nextLSN++
@@ -480,7 +470,7 @@ func (n *Node) executeWindow(run string, spec *wf.Spec, cur wf.TaskID, visit int
 		if len(task.Next) == 1 {
 			wcur = task.Next[0]
 		} else {
-			wcur = wf.TaskID(chosen)
+			wcur = chosen
 		}
 		wvisit = visits[wcur] + 1
 	}
@@ -605,7 +595,7 @@ func (n *Node) releaseKeys(keys []string, after int) {
 
 // Submission routing: local call on the sequencer, HTTP to it elsewhere.
 
-func (n *Node) submitEntries(entries []*EntryJSON) ([]SubmitResult, error) {
+func (n *Node) submitEntries(entries []*wlog.Entry) ([]SubmitResult, error) {
 	if n.st != nil {
 		return n.st.SubmitEntries(n.cfg.NodeID, entries)
 	}

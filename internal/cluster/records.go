@@ -1,8 +1,6 @@
 package cluster
 
 import (
-	"bytes"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io/fs"
@@ -10,9 +8,7 @@ import (
 	"path/filepath"
 	"sync"
 
-	"selfheal/internal/data"
 	"selfheal/internal/durable"
-	"selfheal/internal/wf"
 	"selfheal/internal/wfjson"
 	"selfheal/internal/wlog"
 )
@@ -45,79 +41,13 @@ type Record struct {
 	Spec *wfjson.SpecJSON `json:"spec,omitempty"`
 	Init map[string]int64 `json:"init,omitempty"`
 
-	// KindEntry field.
-	Entry *EntryJSON `json:"entry,omitempty"`
+	// KindEntry field: the committed task instance, LSN unassigned until a
+	// replica's log appends it (the stream carries no LSN — every replica
+	// assigns the same one to the same stream position).
+	Entry *wlog.Entry `json:"entry,omitempty"`
 
 	// KindRepair field.
 	Bad []string `json:"bad,omitempty"`
-}
-
-// ReadObsJSON is the wire form of wlog.ReadObs.
-type ReadObsJSON struct {
-	Value     int64   `json:"value"`
-	Writer    string  `json:"writer,omitempty"`
-	WriterPos float64 `json:"writer_pos"`
-}
-
-// EntryJSON is the wire form of a committed task instance. The LSN is not
-// carried: every replica's log assigns the same dense LSN because entry
-// records occupy the same stream positions everywhere.
-type EntryJSON struct {
-	Run    string                 `json:"run,omitempty"`
-	Task   string                 `json:"task"`
-	Visit  int                    `json:"visit"`
-	Forged bool                   `json:"forged,omitempty"`
-	Reads  map[string]ReadObsJSON `json:"reads,omitempty"`
-	Writes map[string]int64       `json:"writes,omitempty"`
-	Chosen string                 `json:"chosen,omitempty"`
-}
-
-// ToEntry converts the wire form into a fresh wlog.Entry (LSN unassigned).
-func (ej *EntryJSON) ToEntry() *wlog.Entry {
-	e := &wlog.Entry{
-		Run:    ej.Run,
-		Task:   wf.TaskID(ej.Task),
-		Visit:  ej.Visit,
-		Forged: ej.Forged,
-		Chosen: wf.TaskID(ej.Chosen),
-		Reads:  make(map[data.Key]wlog.ReadObs, len(ej.Reads)),
-		Writes: make(map[data.Key]data.Value, len(ej.Writes)),
-	}
-	for k, o := range ej.Reads {
-		e.Reads[data.Key(k)] = wlog.ReadObs{
-			Value:     data.Value(o.Value),
-			Writer:    o.Writer,
-			WriterPos: o.WriterPos,
-		}
-	}
-	for k, v := range ej.Writes {
-		e.Writes[data.Key(k)] = data.Value(v)
-	}
-	return e
-}
-
-// EntryToJSON converts a wlog.Entry into its wire form.
-func EntryToJSON(e *wlog.Entry) *EntryJSON {
-	ej := &EntryJSON{
-		Run:    e.Run,
-		Task:   string(e.Task),
-		Visit:  e.Visit,
-		Forged: e.Forged,
-		Chosen: string(e.Chosen),
-		Reads:  make(map[string]ReadObsJSON, len(e.Reads)),
-		Writes: make(map[string]int64, len(e.Writes)),
-	}
-	for k, o := range e.Reads {
-		ej.Reads[string(k)] = ReadObsJSON{
-			Value:     int64(o.Value),
-			Writer:    o.Writer,
-			WriterPos: o.WriterPos,
-		}
-	}
-	for k, v := range e.Writes {
-		ej.Writes[string(k)] = int64(v)
-	}
-	return ej
 }
 
 // journal is the per-node binary record log: one CRC-framed binary record
@@ -133,8 +63,8 @@ type journal struct {
 	sync bool
 }
 
-// journalPath is the binary journal file; legacyJournalPath is the pre-
-// binary JSONL journal, migrated once on first boot and then removed.
+// journalPath is the binary journal file; legacyJournalPath is the JSONL
+// journal of releases before the binary codec, which is no longer read.
 func journalPath(dir, nodeID string) string       { return filepath.Join(dir, nodeID+".rjournal") }
 func legacyJournalPath(dir, nodeID string) string { return filepath.Join(dir, nodeID+".journal") }
 
@@ -142,17 +72,14 @@ func openJournal(dir, nodeID string, sync bool) (*journal, []Record, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, nil, fmt.Errorf("cluster: journal dir: %w", err)
 	}
-	path := journalPath(dir, nodeID)
-	legacy := legacyJournalPath(dir, nodeID)
+	path, legacy := journalPath(dir, nodeID), legacyJournalPath(dir, nodeID)
 	if _, err := os.Stat(path); errors.Is(err, fs.ErrNotExist) {
-		if err := migrateLegacyJournal(dir, legacy, path); err != nil {
-			return nil, nil, err
+		// Refuse rather than start empty: a stamper that ignored its legacy
+		// journal would restart the stream at seq 1 while its followers
+		// already hold records.
+		if _, err := os.Stat(legacy); err == nil {
+			return nil, nil, fmt.Errorf("cluster: %s is a legacy JSONL journal, which this version does not read: move it aside and boot with -join to rebuild the journal from the peers", legacy)
 		}
-	}
-	// A completed migration (or any boot after one) drops the stale JSONL
-	// file; a crash between the binary rename and this remove is healed here.
-	if _, err := os.Stat(path); err == nil {
-		_ = os.Remove(legacy)
 	}
 
 	var recs []Record
@@ -191,68 +118,6 @@ func openJournal(dir, nodeID string, sync bool) (*journal, []Record, error) {
 		}
 	}
 	return &journal{f: f, sync: sync}, recs, nil
-}
-
-// migrateLegacyJournal converts a JSONL journal to the binary format in
-// one shot: decode the replayable prefix, write it framed to a temp file,
-// fsync, rename into place and fsync the directory. A crash anywhere
-// before the rename leaves the JSONL authoritative; after it, the binary
-// file is complete and the stale JSONL is removed on the next open.
-func migrateLegacyJournal(dir, legacy, path string) error {
-	raw, err := os.ReadFile(legacy)
-	if err != nil {
-		if errors.Is(err, fs.ErrNotExist) {
-			return nil // nothing to migrate: fresh node
-		}
-		return fmt.Errorf("cluster: journal migration: %w", err)
-	}
-	recs := decodeLegacyJournal(raw)
-	var buf []byte
-	for i := range recs {
-		buf = encodeFramedRecord(buf, &recs[i])
-	}
-	tmp := path + ".tmp"
-	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o644)
-	if err != nil {
-		return fmt.Errorf("cluster: journal migration: %w", err)
-	}
-	if _, err := f.Write(buf); err != nil {
-		_ = f.Close()
-		return fmt.Errorf("cluster: journal migration: %w", err)
-	}
-	if err := f.Sync(); err != nil {
-		_ = f.Close()
-		return fmt.Errorf("cluster: journal migration: %w", err)
-	}
-	if err := f.Close(); err != nil {
-		return fmt.Errorf("cluster: journal migration: %w", err)
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		return fmt.Errorf("cluster: journal migration: %w", err)
-	}
-	if d, derr := os.Open(dir); derr == nil {
-		_ = d.Sync()
-		_ = d.Close()
-	}
-	return nil
-}
-
-// decodeLegacyJournal decodes the replayable prefix of a JSONL journal —
-// the same torn-tail discipline the JSONL open path used.
-func decodeLegacyJournal(raw []byte) []Record {
-	var recs []Record
-	dec := json.NewDecoder(bytes.NewReader(raw))
-	for dec.More() {
-		var rec Record
-		if err := dec.Decode(&rec); err != nil {
-			break
-		}
-		if rec.Seq != len(recs)+1 {
-			break
-		}
-		recs = append(recs, rec)
-	}
-	return recs
 }
 
 // appendBatch appends pre-framed record bytes with one write syscall and —

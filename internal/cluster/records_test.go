@@ -4,10 +4,11 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
-	"reflect"
 	"testing"
 
+	"selfheal/internal/data"
 	"selfheal/internal/wfjson"
+	"selfheal/internal/wlog"
 )
 
 // sampleRecords is a short, valid stream prefix exercising every record
@@ -19,25 +20,28 @@ func sampleRecords() []Record {
 		Start: "t0",
 		Tasks: []wfjson.TaskJSON{
 			{ID: "t0", Writes: []string{"a"}, Next: []string{"t1"}, Bias: 3},
-			{ID: "t1", Reads: []string{"a"}, Writes: []string{"b"}, Bias: 7},
+			{ID: "t1", Reads: []string{"a"}, Writes: []string{"b"}, Bias: 7, Next: []string{"t2", "t3"},
+				Choose: &wfjson.ChooseJSON{Key: "a", Threshold: 10, Low: "t2", High: "t3"}},
+			{ID: "t2", Writes: []string{"c"}},
+			{ID: "t3", Writes: []string{"c"}},
 		},
 	}
 	return []Record{
 		{Seq: 1, Kind: KindSpec, Origin: "n1", Run: "m", Spec: spec, Init: map[string]int64{"a": 5, "b": -2}},
-		{Seq: 2, Kind: KindEntry, Origin: "n2", Entry: &EntryJSON{
+		{Seq: 2, Kind: KindEntry, Origin: "n2", Entry: &wlog.Entry{
 			Run: "m", Task: "t0", Visit: 1,
-			Writes: map[string]int64{"a": 8},
+			Writes: map[data.Key]data.Value{"a": 8},
 		}},
-		{Seq: 3, Kind: KindEntry, Origin: "n1", Entry: &EntryJSON{
+		{Seq: 3, Kind: KindEntry, Origin: "n1", Entry: &wlog.Entry{
 			Run: "m", Task: "t1", Visit: 1,
-			Reads:  map[string]ReadObsJSON{"a": {Value: 8, Writer: "m/t0#1", WriterPos: 1}},
-			Writes: map[string]int64{"b": 15},
-			Chosen: "",
+			Reads:  map[data.Key]wlog.ReadObs{"a": {Value: 8, Writer: "m/t0#1", WriterPos: 1}},
+			Writes: map[data.Key]data.Value{"b": 15},
+			Chosen: "t2",
 		}},
-		{Seq: 4, Kind: KindEntry, Origin: "n3", Entry: &EntryJSON{
+		{Seq: 4, Kind: KindEntry, Origin: "n3", Entry: &wlog.Entry{
 			Run: "ghost", Task: "f", Visit: 1, Forged: true,
-			Reads:  map[string]ReadObsJSON{"b": {Value: 15, Writer: "m/t1#1", WriterPos: 2}},
-			Writes: map[string]int64{"b": -999},
+			Reads:  map[data.Key]wlog.ReadObs{"b": {Value: 15, Writer: "m/t1#1", WriterPos: 2}},
+			Writes: map[data.Key]data.Value{"b": -999},
 		}},
 		{Seq: 5, Kind: KindRepair, Origin: "n1", Bad: []string{"ghost/f#1"}},
 	}
@@ -190,87 +194,6 @@ func TestJournalTornTailMatrix(t *testing.T) {
 	}
 }
 
-// A legacy JSONL journal migrates to the binary format on first open: same
-// replayed records, binary file present, JSONL removed — and appends after
-// migration land in the binary file.
-func TestLegacyJournalMigration(t *testing.T) {
-	recs := sampleRecords()
-	dir := t.TempDir()
-	legacy := legacyJournalPath(dir, "n1")
-	f, err := os.Create(legacy)
-	if err != nil {
-		t.Fatalf("create legacy: %v", err)
-	}
-	enc := json.NewEncoder(f)
-	for i := range recs {
-		if err := enc.Encode(&recs[i]); err != nil {
-			t.Fatalf("encode legacy: %v", err)
-		}
-	}
-	_ = f.Close()
-
-	j, replayed, err := openJournal(dir, "n1", true)
-	if err != nil {
-		t.Fatalf("migrating open: %v", err)
-	}
-	if len(replayed) != len(recs) {
-		t.Fatalf("migration replayed %d records, want %d", len(replayed), len(recs))
-	}
-	wantJSON, _ := json.Marshal(recs)
-	gotJSON, _ := json.Marshal(replayed)
-	if string(wantJSON) != string(gotJSON) {
-		t.Fatalf("migration round-trip mismatch:\nwant %s\ngot  %s", wantJSON, gotJSON)
-	}
-	if _, err := os.Stat(legacy); !os.IsNotExist(err) {
-		t.Fatalf("legacy JSONL journal still present after migration")
-	}
-	if _, err := os.Stat(journalPath(dir, "n1")); err != nil {
-		t.Fatalf("binary journal missing after migration: %v", err)
-	}
-	// Appends continue in the binary format.
-	extra := Record{Seq: 6, Kind: KindRepair, Origin: "n1", Bad: []string{"ghost/f#1"}}
-	if err := j.append(&extra); err != nil {
-		t.Fatalf("append after migration: %v", err)
-	}
-	j.close()
-	_, replayed2, err := openJournal(dir, "n1", true)
-	if err != nil {
-		t.Fatalf("reopen after migration: %v", err)
-	}
-	if len(replayed2) != len(recs)+1 {
-		t.Fatalf("reopen replayed %d records, want %d", len(replayed2), len(recs)+1)
-	}
-	if !reflect.DeepEqual(replayed2[len(recs)].Bad, extra.Bad) {
-		t.Fatalf("appended record did not round-trip")
-	}
-}
-
-// A half-written migration temp file must not shadow the legacy journal:
-// the next open redoes the migration from the JSONL.
-func TestLegacyJournalMigrationCrashBeforeRename(t *testing.T) {
-	recs := sampleRecords()
-	dir := t.TempDir()
-	legacy := legacyJournalPath(dir, "n1")
-	f, _ := os.Create(legacy)
-	enc := json.NewEncoder(f)
-	for i := range recs {
-		_ = enc.Encode(&recs[i])
-	}
-	_ = f.Close()
-	// Simulate a crash mid-migration: a torn temp file, no renamed journal.
-	if err := os.WriteFile(journalPath(dir, "n1")+".tmp", []byte("torn"), 0o644); err != nil {
-		t.Fatalf("write temp: %v", err)
-	}
-	j, replayed, err := openJournal(dir, "n1", true)
-	if err != nil {
-		t.Fatalf("open after crash: %v", err)
-	}
-	j.close()
-	if len(replayed) != len(recs) {
-		t.Fatalf("post-crash migration replayed %d records, want %d", len(replayed), len(recs))
-	}
-}
-
 // ---- replication codec benchmarks ----
 
 func benchRecords(n int) []Record {
@@ -278,10 +201,10 @@ func benchRecords(n int) []Record {
 	for i := 0; i < n; i++ {
 		recs = append(recs, Record{
 			Seq: i + 1, Kind: KindEntry, Origin: "n2",
-			Entry: &EntryJSON{
+			Entry: &wlog.Entry{
 				Run: "bench", Task: "t", Visit: i + 1,
-				Reads:  map[string]ReadObsJSON{"k1": {Value: int64(i), Writer: "bench/t#1", WriterPos: float64(i)}},
-				Writes: map[string]int64{"k1": int64(i), "k2": int64(-i)},
+				Reads:  map[data.Key]wlog.ReadObs{"k1": {Value: data.Value(i), Writer: "bench/t#1", WriterPos: float64(i)}},
+				Writes: map[data.Key]data.Value{"k1": data.Value(i), "k2": data.Value(-i)},
 			},
 		})
 	}

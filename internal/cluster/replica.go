@@ -208,7 +208,7 @@ func (r *replica) applyEntry(rec *Record) error {
 	if rec.Entry == nil {
 		return fmt.Errorf("cluster: record %d: entry record without entry", rec.Seq)
 	}
-	e := rec.Entry.ToEntry()
+	e := rec.Entry
 	lsn, err := r.log.Append(e)
 	if err != nil {
 		return fmt.Errorf("cluster: record %d: %w", rec.Seq, err)

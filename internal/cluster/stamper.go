@@ -49,7 +49,7 @@ type SubmitResult struct {
 // goroutine drains everything pending, validates and applies each entry
 // under one s.mu acquisition, writes the whole batch to the journal with
 // one write+fsync, then publishes the batch to the replication cursor and
-// wakes every submitter. SubmitEntry is the degenerate one-entry batch.
+// wakes every submitter.
 type stamper struct {
 	n  *Node
 	mu sync.Mutex
@@ -73,7 +73,7 @@ type stamper struct {
 // results (one verdict per entry, in order) and closes done.
 type stampJob struct {
 	origin  string
-	entries []*EntryJSON
+	entries []*wlog.Entry
 	results []SubmitResult
 	err     error
 	done    chan struct{}
@@ -134,13 +134,13 @@ func (s *stamper) stampJobs(jobs []*stampJob) {
 	stamped, hi := 0, 0
 	for _, job := range jobs {
 		job.results = make([]SubmitResult, len(job.entries))
-		for i, ej := range job.entries {
-			res, admit := s.validateEntryLocked(ej)
+		for i, e := range job.entries {
+			res, admit := s.validateEntryLocked(e)
 			if !admit {
 				job.results[i] = res
 				continue
 			}
-			rec := &Record{Kind: KindEntry, Origin: job.origin, Entry: ej}
+			rec := &Record{Kind: KindEntry, Origin: job.origin, Entry: e}
 			rec.Seq = s.n.rep.Applied() + 1
 			if err := s.n.rep.applyStamped(rec); err != nil {
 				job.results[i] = SubmitResult{Status: SubStale, Seq: s.n.rep.Applied(), Reason: err.Error()}
@@ -181,28 +181,27 @@ func (s *stamper) stampJobs(jobs []*stampJob) {
 // validateEntryLocked re-runs the §VII merge discipline for one submitted
 // entry against the stamper's replica (which already reflects every earlier
 // entry of the current group). The boolean reports whether to stamp.
-func (s *stamper) validateEntryLocked(ej *EntryJSON) (SubmitResult, bool) {
+func (s *stamper) validateEntryLocked(e *wlog.Entry) (SubmitResult, bool) {
 	rep := s.n.rep
-	inst := wlog.FormatInstance(ej.Run, wf.TaskID(ej.Task), ej.Visit)
-	if rep.HasInstance(inst) {
+	if rep.HasInstance(e.ID()) {
 		return SubmitResult{Status: SubDup, Seq: rep.Applied()}, false
 	}
-	if ej.Forged {
+	if e.Forged {
 		// Forged entries commit outside any specification (the attacker
 		// does not wait for quiescence either): existence is the only check,
 		// exactly as SubmitForge admits them.
 		return SubmitResult{}, true
 	}
-	spec := rep.Spec(ej.Run)
+	spec := rep.Spec(e.Run)
 	if spec == nil {
 		return SubmitResult{Status: SubStale, Seq: rep.Applied(), Reason: "unknown run"}, false
 	}
-	task := spec.Tasks[wf.TaskID(ej.Task)]
+	task := spec.Tasks[e.Task]
 	if task == nil {
 		return SubmitResult{Status: SubStale, Seq: rep.Applied(), Reason: "unknown task"}, false
 	}
-	cur, visit, done, _ := rep.Frontier(ej.Run)
-	if done || cur != wf.TaskID(ej.Task) || visit != ej.Visit {
+	cur, visit, done, _ := rep.Frontier(e.Run)
+	if done || cur != e.Task || visit != e.Visit {
 		return SubmitResult{Status: SubStale, Seq: rep.Applied(),
 			Reason: fmt.Sprintf("frontier is %s#%d", cur, visit)}, false
 	}
@@ -222,9 +221,7 @@ func (s *stamper) validateEntryLocked(ej *EntryJSON) (SubmitResult, bool) {
 	// OCC validation: every observed read version must still be the
 	// current committed version on the stamper's replica.
 	for _, k := range task.Reads {
-		want := rep.currentObs(k)
-		got, ok := ej.Reads[string(k)]
-		if !ok || data.Value(got.Value) != want.Value || got.Writer != want.Writer || got.WriterPos != want.WriterPos {
+		if got, ok := e.Reads[k]; !ok || got != rep.currentObs(k) {
 			return SubmitResult{Status: SubStale, Seq: rep.Applied(),
 				Reason: fmt.Sprintf("read %s is stale", k)}, false
 		}
@@ -237,7 +234,7 @@ func (s *stamper) validateEntryLocked(ej *EntryJSON) (SubmitResult, bool) {
 // commit loop has made the accepted entries durable. Entries of one batch
 // are validated sequentially against the evolving replica, so a pipelined
 // window may read its own earlier writes.
-func (s *stamper) SubmitEntries(origin string, entries []*EntryJSON) ([]SubmitResult, error) {
+func (s *stamper) SubmitEntries(origin string, entries []*wlog.Entry) ([]SubmitResult, error) {
 	if len(entries) == 0 {
 		return nil, nil
 	}
@@ -299,16 +296,6 @@ func (s *stamper) SubmitSpec(origin, run string, doc *wfjson.SpecJSON) (int, err
 	return s.stampLocked(&Record{Kind: KindSpec, Origin: origin, Run: run, Spec: doc, Init: initW})
 }
 
-// SubmitEntry validates an executor's optimistic submission and stamps it —
-// the degenerate one-entry batch through the group-commit loop.
-func (s *stamper) SubmitEntry(origin string, ej *EntryJSON) SubmitResult {
-	res, err := s.SubmitEntries(origin, []*EntryJSON{ej})
-	if err != nil {
-		return SubmitResult{Status: SubStale, Seq: s.n.rep.Applied(), Reason: err.Error()}
-	}
-	return res[0]
-}
-
 // SubmitForge commits an attacker task outside any specification, reading
 // the current versions of the named keys — the cluster's equivalent of the
 // single-node engine's InjectForged (always visit 1).
@@ -320,19 +307,21 @@ func (s *stamper) SubmitForge(origin, run, task string, reads []string, writes m
 	if rep.HasInstance(inst) {
 		return "", 0, fmt.Errorf("cluster: forged instance %s already committed: %w", inst, engine.ErrRunExists)
 	}
-	ej := &EntryJSON{
+	e := &wlog.Entry{
 		Run:    run,
-		Task:   task,
+		Task:   wf.TaskID(task),
 		Visit:  1,
 		Forged: true,
-		Reads:  make(map[string]ReadObsJSON, len(reads)),
-		Writes: writes,
+		Reads:  make(map[data.Key]wlog.ReadObs, len(reads)),
+		Writes: make(map[data.Key]data.Value, len(writes)),
 	}
 	for _, k := range reads {
-		o := rep.currentObs(data.Key(k))
-		ej.Reads[k] = ReadObsJSON{Value: int64(o.Value), Writer: o.Writer, WriterPos: o.WriterPos}
+		e.Reads[data.Key(k)] = rep.currentObs(data.Key(k))
 	}
-	seq, err := s.stampLocked(&Record{Kind: KindEntry, Origin: origin, Entry: ej})
+	for k, v := range writes {
+		e.Writes[data.Key(k)] = data.Value(v)
+	}
+	seq, err := s.stampLocked(&Record{Kind: KindEntry, Origin: origin, Entry: e})
 	if err != nil {
 		return "", 0, err
 	}

@@ -13,7 +13,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"selfheal/internal/data"
 	"selfheal/internal/wf"
@@ -45,12 +45,14 @@ const snapFormat = 1
 func appendUvarint(dst []byte, v uint64) []byte { return binary.AppendUvarint(dst, v) }
 func appendVarint(dst []byte, v int64) []byte   { return binary.AppendVarint(dst, v) }
 
-func appendString(dst []byte, s string) []byte {
+// AppendString appends s as a uvarint length followed by its bytes.
+func AppendString(dst []byte, s string) []byte {
 	dst = binary.AppendUvarint(dst, uint64(len(s)))
 	return append(dst, s...)
 }
 
-func appendBytes(dst, b []byte) []byte {
+// AppendBytes appends b as a uvarint length followed by its bytes.
+func AppendBytes(dst, b []byte) []byte {
 	dst = binary.AppendUvarint(dst, uint64(len(b)))
 	return append(dst, b...)
 }
@@ -61,47 +63,83 @@ func appendF64(dst []byte, f float64) []byte {
 
 // --- primitive reader --------------------------------------------------
 
-// reader decodes a record payload; the first decoding error sticks and
-// every later read returns zero values, so decode paths check err once.
-type reader struct {
+// Reader decodes one record payload written with the writers above; the
+// first decoding error sticks and every later read returns zero values,
+// so decode paths check the error once, at Finish. It accepts only the
+// canonical bytes the writers produce (minimal varints, map keys in
+// ascending order), so a payload that decodes re-encodes to itself. Other
+// record logs (the cluster journal and its replication bodies) decode
+// with it too.
+type Reader struct {
 	b   []byte
 	err error
 }
 
-func (r *reader) fail(format string, args ...any) {
+// NewReader returns a Reader over payload p.
+func NewReader(p []byte) *Reader { return &Reader{b: p} }
+
+func (r *Reader) fail(format string, args ...any) {
 	if r.err == nil {
 		r.err = fmt.Errorf(format, args...)
 	}
 }
 
-func (r *reader) uvarint() uint64 {
+// Err returns the sticky decoding error, if any.
+func (r *Reader) Err() error { return r.err }
+
+// Uvarint reads an unsigned varint.
+func (r *Reader) Uvarint() uint64 {
 	if r.err != nil {
 		return 0
 	}
 	v, n := binary.Uvarint(r.b)
-	if n <= 0 {
-		r.fail("durable: truncated uvarint")
+	if n <= 0 || n > 1 && r.b[n-1] == 0 {
+		r.fail("durable: truncated or non-minimal uvarint")
 		return 0
 	}
 	r.b = r.b[n:]
 	return v
 }
 
-func (r *reader) varint() int64 {
+// Varint reads a signed varint.
+func (r *Reader) Varint() int64 {
 	if r.err != nil {
 		return 0
 	}
 	v, n := binary.Varint(r.b)
-	if n <= 0 {
-		r.fail("durable: truncated varint")
+	if n <= 0 || n > 1 && r.b[n-1] == 0 {
+		r.fail("durable: truncated or non-minimal varint")
 		return 0
 	}
 	r.b = r.b[n:]
 	return v
 }
 
-func (r *reader) str() string {
-	n := r.uvarint()
+// Count reads an element count. Every element takes at least one payload
+// byte, so a count above the bytes left is corrupt: it fails here instead
+// of sizing an allocation from untrusted input.
+func (r *Reader) Count() int {
+	n := r.Uvarint()
+	if n > uint64(len(r.b)) {
+		r.fail("durable: count %d exceeds the %d bytes left", n, len(r.b))
+		return 0
+	}
+	return int(n)
+}
+
+// Key reads the i-th key of a map written in ascending key order and fails
+// unless it sorts strictly after prev, the key before it.
+func (r *Reader) Key(i int, prev string) string {
+	k := r.Str()
+	if i > 0 && k <= prev {
+		r.fail("durable: map key %q out of order after %q", k, prev)
+	}
+	return k
+}
+
+// Str reads a string written by AppendString.
+func (r *Reader) Str() string {
+	n := r.Uvarint()
 	if r.err != nil {
 		return ""
 	}
@@ -114,8 +152,9 @@ func (r *reader) str() string {
 	return s
 }
 
-func (r *reader) bytes() []byte {
-	n := r.uvarint()
+// Bytes reads a copy of a byte string written by AppendBytes.
+func (r *Reader) Bytes() []byte {
+	n := r.Uvarint()
 	if r.err != nil {
 		return nil
 	}
@@ -129,7 +168,8 @@ func (r *reader) bytes() []byte {
 	return out
 }
 
-func (r *reader) byte() byte {
+// Byte reads one byte.
+func (r *Reader) Byte() byte {
 	if r.err != nil {
 		return 0
 	}
@@ -142,7 +182,7 @@ func (r *reader) byte() byte {
 	return c
 }
 
-func (r *reader) f64() float64 {
+func (r *Reader) f64() float64 {
 	if r.err != nil {
 		return 0
 	}
@@ -155,7 +195,8 @@ func (r *reader) f64() float64 {
 	return f
 }
 
-func (r *reader) finish() error {
+// Finish returns the sticky error, or an error if payload bytes are left.
+func (r *Reader) Finish() error {
 	if r.err != nil {
 		return r.err
 	}
@@ -173,13 +214,21 @@ const (
 )
 
 // EncodeEntry appends the binary encoding of one committed log entry
-// (kind byte included) to dst. Exported so the wlogio benchmarks can
-// compare the JSON and binary codecs head to head.
+// (kind byte and LSN, then AppendEntryBody) to dst. Exported so the wlogio
+// benchmarks can compare the JSON and binary codecs head to head.
 func EncodeEntry(dst []byte, e *wlog.Entry) []byte {
 	dst = append(dst, recEntry)
 	dst = appendUvarint(dst, uint64(e.LSN))
-	dst = appendString(dst, e.Run)
-	dst = appendString(dst, string(e.Task))
+	return AppendEntryBody(dst, e)
+}
+
+// AppendEntryBody appends the body of an entry record: the task instance,
+// its flags, and its reads and writes in sorted key order — everything but
+// the kind byte and the LSN. The cluster record stream, which carries no
+// LSN, encodes its entries with it.
+func AppendEntryBody(dst []byte, e *wlog.Entry) []byte {
+	dst = AppendString(dst, e.Run)
+	dst = AppendString(dst, string(e.Task))
 	dst = appendUvarint(dst, uint64(e.Visit))
 	var flags byte
 	if e.Forged {
@@ -190,31 +239,20 @@ func EncodeEntry(dst []byte, e *wlog.Entry) []byte {
 	}
 	dst = append(dst, flags)
 	if e.Chosen != "" {
-		dst = appendString(dst, string(e.Chosen))
+		dst = AppendString(dst, string(e.Chosen))
 	}
-
-	readKeys := make([]data.Key, 0, len(e.Reads))
-	for k := range e.Reads {
-		readKeys = append(readKeys, k)
-	}
-	sort.Slice(readKeys, func(i, j int) bool { return readKeys[i] < readKeys[j] })
-	dst = appendUvarint(dst, uint64(len(readKeys)))
-	for _, k := range readKeys {
+	var kbuf [8]data.Key
+	dst = appendUvarint(dst, uint64(len(e.Reads)))
+	for _, k := range sortedKeys(kbuf[:0], e.Reads) {
 		obs := e.Reads[k]
-		dst = appendString(dst, string(k))
+		dst = AppendString(dst, string(k))
 		dst = appendVarint(dst, int64(obs.Value))
-		dst = appendString(dst, obs.Writer)
+		dst = AppendString(dst, obs.Writer)
 		dst = appendF64(dst, obs.WriterPos)
 	}
-
-	writeKeys := make([]data.Key, 0, len(e.Writes))
-	for k := range e.Writes {
-		writeKeys = append(writeKeys, k)
-	}
-	sort.Slice(writeKeys, func(i, j int) bool { return writeKeys[i] < writeKeys[j] })
-	dst = appendUvarint(dst, uint64(len(writeKeys)))
-	for _, k := range writeKeys {
-		dst = appendString(dst, string(k))
+	dst = appendUvarint(dst, uint64(len(e.Writes)))
+	for _, k := range sortedKeys(kbuf[:0], e.Writes) {
+		dst = AppendString(dst, string(k))
 		dst = appendVarint(dst, int64(e.Writes[k]))
 	}
 	return dst
@@ -223,44 +261,52 @@ func EncodeEntry(dst []byte, e *wlog.Entry) []byte {
 // DecodeEntry decodes an entry payload produced by EncodeEntry (kind byte
 // included).
 func DecodeEntry(p []byte) (*wlog.Entry, error) {
-	r := &reader{b: p}
-	if k := r.byte(); k != recEntry {
+	r := NewReader(p)
+	if k := r.Byte(); k != recEntry {
 		return nil, fmt.Errorf("durable: record kind %d is not an entry", k)
 	}
-	e := decodeEntryBody(r)
-	if err := r.finish(); err != nil {
+	lsn := int(r.Uvarint())
+	e := r.EntryBody()
+	if err := r.Finish(); err != nil {
 		return nil, err
 	}
+	e.LSN = lsn
 	return e, nil
 }
 
-func decodeEntryBody(r *reader) *wlog.Entry {
+// EntryBody reads an entry body written by AppendEntryBody (LSN left 0).
+func (r *Reader) EntryBody() *wlog.Entry {
 	e := &wlog.Entry{
-		LSN:   int(r.uvarint()),
-		Run:   r.str(),
-		Task:  wf.TaskID(r.str()),
-		Visit: int(r.uvarint()),
+		Run:   r.Str(),
+		Task:  wf.TaskID(r.Str()),
+		Visit: int(r.Uvarint()),
 	}
-	flags := r.byte()
+	flags := r.Byte()
+	if flags&^(entryForged|entryChosen) != 0 {
+		r.fail("durable: unknown entry flags %#x", flags)
+	}
 	e.Forged = flags&entryForged != 0
 	if flags&entryChosen != 0 {
-		e.Chosen = wf.TaskID(r.str())
+		if e.Chosen = wf.TaskID(r.Str()); e.Chosen == "" {
+			r.fail("durable: entry flags an empty choice")
+		}
 	}
-	nReads := r.uvarint()
+	nReads := r.Count()
 	e.Reads = make(map[data.Key]wlog.ReadObs, nReads)
-	for i := uint64(0); i < nReads && r.err == nil; i++ {
-		k := data.Key(r.str())
-		e.Reads[k] = wlog.ReadObs{
-			Value:     data.Value(r.varint()),
-			Writer:    r.str(),
+	var k string
+	for i := 0; i < nReads && r.err == nil; i++ {
+		k = r.Key(i, k)
+		e.Reads[data.Key(k)] = wlog.ReadObs{
+			Value:     data.Value(r.Varint()),
+			Writer:    r.Str(),
 			WriterPos: r.f64(),
 		}
 	}
-	nWrites := r.uvarint()
+	nWrites := r.Count()
 	e.Writes = make(map[data.Key]data.Value, nWrites)
-	for i := uint64(0); i < nWrites && r.err == nil; i++ {
-		k := data.Key(r.str())
-		e.Writes[k] = data.Value(r.varint())
+	for i := 0; i < nWrites && r.err == nil; i++ {
+		k = r.Key(i, k)
+		e.Writes[data.Key(k)] = data.Value(r.Varint())
 	}
 	return e
 }
@@ -274,7 +320,7 @@ const (
 
 func appendVersion(dst []byte, v data.Version) []byte {
 	dst = appendF64(dst, v.Pos)
-	dst = appendString(dst, v.Writer)
+	dst = AppendString(dst, v.Writer)
 	dst = appendVarint(dst, int64(v.Value))
 	var flags byte
 	if v.Recovery {
@@ -286,13 +332,13 @@ func appendVersion(dst []byte, v data.Version) []byte {
 	return append(dst, flags)
 }
 
-func (r *reader) version() data.Version {
+func (r *Reader) version() data.Version {
 	v := data.Version{
 		Pos:    r.f64(),
-		Writer: r.str(),
-		Value:  data.Value(r.varint()),
+		Writer: r.Str(),
+		Value:  data.Value(r.Varint()),
 	}
-	flags := r.byte()
+	flags := r.Byte()
 	v.Recovery = flags&verRecovery != 0
 	v.Checkpoint = flags&verCheckpoint != 0
 	return v
@@ -306,44 +352,44 @@ func appendChain(dst []byte, chain []data.Version) []byte {
 	return dst
 }
 
-func (r *reader) chain() []data.Version {
-	n := r.uvarint()
-	if r.err != nil || n == 0 {
+func (r *Reader) chain() []data.Version {
+	n := r.Count()
+	if n == 0 {
 		return nil
 	}
 	out := make([]data.Version, 0, n)
-	for i := uint64(0); i < n && r.err == nil; i++ {
+	for i := 0; i < n && r.err == nil; i++ {
 		out = append(out, r.version())
 	}
 	return out
 }
 
-// sortedKeys returns the keys of a chains map in sorted order.
-func sortedKeys[V any](m map[data.Key]V) []data.Key {
-	out := make([]data.Key, 0, len(m))
+// sortedKeys appends the keys of m to dst in ascending order. The entry
+// encoder passes a stack buffer, so small maps sort without allocating.
+func sortedKeys[V any](dst []data.Key, m map[data.Key]V) []data.Key {
 	for k := range m {
-		out = append(out, k)
+		dst = append(dst, k)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
+	slices.Sort(dst)
+	return dst
 }
 
 // appendInit encodes an initial-values map in sorted key order.
 func appendInit(dst []byte, init map[data.Key]data.Value) []byte {
 	dst = appendUvarint(dst, uint64(len(init)))
-	for _, k := range sortedKeys(init) {
-		dst = appendString(dst, string(k))
+	for _, k := range sortedKeys(nil, init) {
+		dst = AppendString(dst, string(k))
 		dst = appendVarint(dst, int64(init[k]))
 	}
 	return dst
 }
 
-func (r *reader) initMap() map[data.Key]data.Value {
-	n := r.uvarint()
+func (r *Reader) initMap() map[data.Key]data.Value {
+	n := r.Count()
 	out := make(map[data.Key]data.Value, n)
-	for i := uint64(0); i < n && r.err == nil; i++ {
-		k := data.Key(r.str())
-		out[k] = data.Value(r.varint())
+	for i := 0; i < n && r.err == nil; i++ {
+		k := data.Key(r.Str())
+		out[k] = data.Value(r.Varint())
 	}
 	return out
 }
@@ -356,8 +402,8 @@ func (r *reader) initMap() map[data.Key]data.Value {
 func encodeSpec(dst []byte, stamp int, run string, specJSON []byte, init map[data.Key]data.Value) []byte {
 	dst = append(dst, recSpec)
 	dst = appendUvarint(dst, uint64(stamp))
-	dst = appendString(dst, run)
-	dst = appendBytes(dst, specJSON)
+	dst = AppendString(dst, run)
+	dst = AppendBytes(dst, specJSON)
 	return appendInit(dst, init)
 }
 
@@ -367,7 +413,7 @@ func encodeAlert(dst []byte, stamp int, id uint64, bad []wlog.InstanceID) []byte
 	dst = appendUvarint(dst, id)
 	dst = appendUvarint(dst, uint64(len(bad)))
 	for _, b := range bad {
-		dst = appendString(dst, string(b))
+		dst = AppendString(dst, string(b))
 	}
 	return dst
 }
@@ -400,8 +446,8 @@ func encodeAdopt(dst []byte, stamp int, fronts []RunFrontier, chains map[data.Ke
 	dst = appendUvarint(dst, uint64(stamp))
 	dst = appendUvarint(dst, uint64(len(fronts)))
 	for _, f := range fronts {
-		dst = appendString(dst, f.Run)
-		dst = appendString(dst, string(f.Cur))
+		dst = AppendString(dst, f.Run)
+		dst = AppendString(dst, string(f.Cur))
 		var done byte
 		if f.Done {
 			done = 1
@@ -409,8 +455,8 @@ func encodeAdopt(dst []byte, stamp int, fronts []RunFrontier, chains map[data.Ke
 		dst = append(dst, done)
 	}
 	dst = appendUvarint(dst, uint64(len(chains)))
-	for _, k := range sortedKeys(chains) {
-		dst = appendString(dst, string(k))
+	for _, k := range sortedKeys(nil, chains) {
+		dst = AppendString(dst, string(k))
 		dst = appendChain(dst, chains[k])
 	}
 	return dst
@@ -436,51 +482,52 @@ type record struct {
 
 // decodeRecord decodes one log-stream record payload.
 func decodeRecord(p []byte) (*record, error) {
-	r := &reader{b: p}
-	rec := &record{kind: r.byte()}
+	r := NewReader(p)
+	rec := &record{kind: r.Byte()}
 	switch rec.kind {
 	case recEntry:
-		rec.entry = decodeEntryBody(r)
-		rec.stamp = rec.entry.LSN
+		rec.stamp = int(r.Uvarint())
+		rec.entry = r.EntryBody()
+		rec.entry.LSN = rec.stamp
 	case recSpec:
-		rec.stamp = int(r.uvarint())
-		rec.run = r.str()
-		rec.spec = r.bytes()
+		rec.stamp = int(r.Uvarint())
+		rec.run = r.Str()
+		rec.spec = r.Bytes()
 		rec.init = r.initMap()
 	case recAlert:
-		rec.stamp = int(r.uvarint())
-		rec.alertID = r.uvarint()
-		n := r.uvarint()
+		rec.stamp = int(r.Uvarint())
+		rec.alertID = r.Uvarint()
+		n := r.Count()
 		rec.bad = make([]wlog.InstanceID, 0, n)
-		for i := uint64(0); i < n && r.err == nil; i++ {
-			rec.bad = append(rec.bad, wlog.InstanceID(r.str()))
+		for i := 0; i < n && r.err == nil; i++ {
+			rec.bad = append(rec.bad, wlog.InstanceID(r.Str()))
 		}
 	case recAck:
-		rec.stamp = int(r.uvarint())
-		n := r.uvarint()
+		rec.stamp = int(r.Uvarint())
+		n := r.Count()
 		rec.ackIDs = make([]uint64, 0, n)
-		for i := uint64(0); i < n && r.err == nil; i++ {
-			rec.ackIDs = append(rec.ackIDs, r.uvarint())
+		for i := 0; i < n && r.err == nil; i++ {
+			rec.ackIDs = append(rec.ackIDs, r.Uvarint())
 		}
 	case recAdopt:
-		rec.stamp = int(r.uvarint())
-		nf := r.uvarint()
+		rec.stamp = int(r.Uvarint())
+		nf := r.Count()
 		rec.fronts = make([]RunFrontier, 0, nf)
-		for i := uint64(0); i < nf && r.err == nil; i++ {
-			f := RunFrontier{Run: r.str(), Cur: wf.TaskID(r.str())}
-			f.Done = r.byte() != 0
+		for i := 0; i < nf && r.err == nil; i++ {
+			f := RunFrontier{Run: r.Str(), Cur: wf.TaskID(r.Str())}
+			f.Done = r.Byte() != 0
 			rec.fronts = append(rec.fronts, f)
 		}
-		nc := r.uvarint()
+		nc := r.Count()
 		rec.chains = make(map[data.Key][]data.Version, nc)
-		for i := uint64(0); i < nc && r.err == nil; i++ {
-			k := data.Key(r.str())
+		for i := 0; i < nc && r.err == nil; i++ {
+			k := data.Key(r.Str())
 			rec.chains[k] = r.chain()
 		}
 	default:
 		return nil, fmt.Errorf("durable: unknown record kind %d", rec.kind)
 	}
-	if err := r.finish(); err != nil {
+	if err := r.Finish(); err != nil {
 		return nil, err
 	}
 	return rec, nil

@@ -2,6 +2,7 @@ package durable
 
 import (
 	"bytes"
+	"encoding/binary"
 	"reflect"
 	"testing"
 
@@ -65,6 +66,29 @@ func TestEntryDecodeRejectsDamage(t *testing.T) {
 	}
 	if _, err := DecodeEntry([]byte{recAck}); err == nil {
 		t.Error("non-entry kind accepted by DecodeEntry")
+	}
+
+	// Entry: LSN 1, run "", task "t", visit 1, no flags, then reads and
+	// writes. Only the canonical encoding decodes, and no count may claim
+	// more elements than there are bytes left.
+	head := []byte{recEntry, 1, 0, 1, 't', 1}
+	if _, err := DecodeEntry(append(head, 0, 0, 0)); err != nil {
+		t.Fatalf("canonical entry rejected: %v", err)
+	}
+	for name, p := range map[string][]byte{
+		"oversized read count": binary.AppendUvarint(append(head, 0), 1<<40),
+		"non-minimal visit":    {recEntry, 1, 0, 1, 't', 0x81, 0x00, 0, 0, 0},
+		"unknown flag":         append(head, 0x04, 0, 0),
+		"empty choice":         append(head, entryChosen, 0, 0, 0),
+		"writes out of order":  append(head, 0, 0, 2, 1, 'b', 2, 1, 'a', 2),
+		"duplicate write":      append(head, 0, 0, 2, 1, 'a', 2, 1, 'a', 2),
+	} {
+		if _, err := DecodeEntry(p); err == nil {
+			t.Errorf("%s: decoded without error", name)
+		}
+	}
+	if _, err := decodeRecord(binary.AppendUvarint([]byte{recAlert, 1, 1}, 1<<40)); err == nil {
+		t.Error("alert with an oversized accused count decoded without error")
 	}
 }
 

@@ -94,14 +94,14 @@ func encodeSnapshot(s *Snapshot) []byte {
 	// would re-apply the same horizon — so pre-horizon history is dead
 	// weight that would only slow the boot path down. Keys whose chains
 	// empty out are omitted (CompactBefore deletes them).
-	for _, k := range sortedKeys(s.Chains) {
+	for _, k := range sortedKeys(nil, s.Chains) {
 		chain := data.CompactChain(s.Chains[k], float64(s.Epoch))
 		if len(chain) == 0 {
 			continue
 		}
 		var p []byte
 		p = append(p, recSnapChain)
-		p = appendString(p, string(k))
+		p = AppendString(p, string(k))
 		p = appendChain(p, chain)
 		emit(p)
 	}
@@ -115,8 +115,8 @@ func encodeSnapshot(s *Snapshot) []byte {
 		sp := s.Specs[run]
 		var p []byte
 		p = append(p, recSnapSpec)
-		p = appendString(p, run)
-		p = appendBytes(p, sp.JSON)
+		p = AppendString(p, run)
+		p = AppendBytes(p, sp.JSON)
 		p = appendInit(p, sp.Init)
 		emit(p)
 	}
@@ -130,10 +130,10 @@ func encodeSnapshot(s *Snapshot) []byte {
 		rs := s.Runs[run]
 		var p []byte
 		p = append(p, recSnapRun)
-		p = appendString(p, run)
-		p = appendString(p, rs.Status)
-		p = appendString(p, rs.Err)
-		p = appendString(p, string(rs.Cur))
+		p = AppendString(p, run)
+		p = AppendString(p, rs.Status)
+		p = AppendString(p, rs.Err)
+		p = AppendString(p, string(rs.Cur))
 		tasks := make([]string, 0, len(rs.Visits))
 		for t := range rs.Visits {
 			tasks = append(tasks, string(t))
@@ -141,7 +141,7 @@ func encodeSnapshot(s *Snapshot) []byte {
 		sort.Strings(tasks)
 		p = appendUvarint(p, uint64(len(tasks)))
 		for _, t := range tasks {
-			p = appendString(p, t)
+			p = AppendString(p, t)
 			p = appendUvarint(p, uint64(rs.Visits[wf.TaskID(t)]))
 		}
 		emit(p)
@@ -159,7 +159,7 @@ func encodeSnapshot(s *Snapshot) []byte {
 		p = appendUvarint(p, id)
 		p = appendUvarint(p, uint64(len(bad)))
 		for _, b := range bad {
-			p = appendString(p, string(b))
+			p = AppendString(p, string(b))
 		}
 		emit(p)
 	}
@@ -168,17 +168,17 @@ func encodeSnapshot(s *Snapshot) []byte {
 	g = append(g, recSnapGraph)
 	g = appendUvarint(g, uint64(s.Graph.Epoch))
 	g = appendUvarint(g, uint64(len(s.Graph.LastWriter)))
-	for _, k := range sortedKeys(s.Graph.LastWriter) {
-		g = appendString(g, string(k))
-		g = appendString(g, string(s.Graph.LastWriter[k]))
+	for _, k := range sortedKeys(nil, s.Graph.LastWriter) {
+		g = AppendString(g, string(k))
+		g = AppendString(g, string(s.Graph.LastWriter[k]))
 	}
 	g = appendUvarint(g, uint64(len(s.Graph.Pending)))
-	for _, k := range sortedKeys(s.Graph.Pending) {
-		g = appendString(g, string(k))
+	for _, k := range sortedKeys(nil, s.Graph.Pending) {
+		g = AppendString(g, string(k))
 		readers := s.Graph.Pending[k]
 		g = appendUvarint(g, uint64(len(readers)))
 		for _, r := range readers {
-			g = appendString(g, string(r))
+			g = AppendString(g, string(r))
 		}
 	}
 	emit(g)
@@ -208,8 +208,8 @@ func decodeSnapshot(b []byte) (*Snapshot, error) {
 	}
 	sawFooter := false
 	for i, p := range payloads {
-		r := &reader{b: p}
-		kind := r.byte()
+		r := NewReader(p)
+		kind := r.Byte()
 		if sawFooter {
 			return nil, fmt.Errorf("durable: snapshot record after footer")
 		}
@@ -218,63 +218,63 @@ func decodeSnapshot(b []byte) (*Snapshot, error) {
 			if i != 0 {
 				return nil, fmt.Errorf("durable: snapshot header at record %d", i)
 			}
-			if f := r.uvarint(); f != snapFormat {
+			if f := r.Uvarint(); f != snapFormat {
 				return nil, fmt.Errorf("durable: snapshot format %d unsupported", f)
 			}
-			s.Seq = r.uvarint()
-			s.Epoch = int(r.uvarint())
+			s.Seq = r.Uvarint()
+			s.Epoch = int(r.Uvarint())
 		case recSnapChain:
-			k := data.Key(r.str())
+			k := data.Key(r.Str())
 			s.Chains[k] = r.chain()
 		case recSnapSpec:
-			run := r.str()
-			s.Specs[run] = SpecState{JSON: r.bytes(), Init: r.initMap()}
+			run := r.Str()
+			s.Specs[run] = SpecState{JSON: r.Bytes(), Init: r.initMap()}
 		case recSnapRun:
-			run := r.str()
-			rs := RunState{Status: r.str(), Err: r.str(), Cur: wf.TaskID(r.str())}
-			n := r.uvarint()
+			run := r.Str()
+			rs := RunState{Status: r.Str(), Err: r.Str(), Cur: wf.TaskID(r.Str())}
+			n := r.Count()
 			rs.Visits = make(map[wf.TaskID]int, n)
-			for j := uint64(0); j < n && r.err == nil; j++ {
-				t := wf.TaskID(r.str())
-				rs.Visits[t] = int(r.uvarint())
+			for j := 0; j < n && r.err == nil; j++ {
+				t := wf.TaskID(r.Str())
+				rs.Visits[t] = int(r.Uvarint())
 			}
 			s.Runs[run] = rs
 		case recSnapAlert:
-			id := r.uvarint()
-			n := r.uvarint()
+			id := r.Uvarint()
+			n := r.Count()
 			bad := make([]wlog.InstanceID, 0, n)
-			for j := uint64(0); j < n && r.err == nil; j++ {
-				bad = append(bad, wlog.InstanceID(r.str()))
+			for j := 0; j < n && r.err == nil; j++ {
+				bad = append(bad, wlog.InstanceID(r.Str()))
 			}
 			s.Alerts[id] = bad
 		case recSnapGraph:
-			s.Graph.Epoch = int(r.uvarint())
-			nl := r.uvarint()
+			s.Graph.Epoch = int(r.Uvarint())
+			nl := r.Count()
 			s.Graph.LastWriter = make(map[data.Key]wlog.InstanceID, nl)
-			for j := uint64(0); j < nl && r.err == nil; j++ {
-				k := data.Key(r.str())
-				s.Graph.LastWriter[k] = wlog.InstanceID(r.str())
+			for j := 0; j < nl && r.err == nil; j++ {
+				k := data.Key(r.Str())
+				s.Graph.LastWriter[k] = wlog.InstanceID(r.Str())
 			}
-			np := r.uvarint()
+			np := r.Count()
 			s.Graph.Pending = make(map[data.Key][]wlog.InstanceID, np)
-			for j := uint64(0); j < np && r.err == nil; j++ {
-				k := data.Key(r.str())
-				nr := r.uvarint()
+			for j := 0; j < np && r.err == nil; j++ {
+				k := data.Key(r.Str())
+				nr := r.Count()
 				readers := make([]wlog.InstanceID, 0, nr)
-				for x := uint64(0); x < nr && r.err == nil; x++ {
-					readers = append(readers, wlog.InstanceID(r.str()))
+				for x := 0; x < nr && r.err == nil; x++ {
+					readers = append(readers, wlog.InstanceID(r.Str()))
 				}
 				s.Graph.Pending[k] = readers
 			}
 		case recSnapFooter:
-			if n := r.uvarint(); n != uint64(i) {
+			if n := r.Uvarint(); n != uint64(i) {
 				return nil, fmt.Errorf("durable: snapshot footer counts %d records, file has %d", n, i)
 			}
 			sawFooter = true
 		default:
 			return nil, fmt.Errorf("durable: unknown snapshot record kind %d", kind)
 		}
-		if err := r.finish(); err != nil {
+		if err := r.Finish(); err != nil {
 			return nil, err
 		}
 	}

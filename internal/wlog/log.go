@@ -61,34 +61,36 @@ func ParseInstance(id InstanceID) (run string, task wf.TaskID, visit int, err er
 // version that supplied it. WriterPos < data.InitPos (i.e. MissingPos) means
 // the key had no version at all and the read defaulted to zero.
 type ReadObs struct {
-	Value     data.Value
-	Writer    string  // instance ID of the writing task; "" for initial versions
-	WriterPos float64 // position of the observed version
+	Value     data.Value `json:"value"`
+	Writer    string     `json:"writer,omitempty"` // instance ID of the writing task; "" for initial versions
+	WriterPos float64    `json:"writer_pos"`       // position of the observed version
 }
 
 // MissingPos is the WriterPos recorded when a read found no version.
 const MissingPos = -1.0
 
-// Entry is one committed task execution.
+// Entry is one committed task execution. Its JSON form is the entry of the
+// cluster's internal API (docs/CLUSTER.md), which carries no LSN: every
+// replica's log assigns the same LSN to the same stream position.
 type Entry struct {
 	// LSN is the commit sequence number (1-based, dense, ascending).
-	LSN int
+	LSN int `json:"-"`
 	// Run identifies the workflow instance; empty for standalone forged
 	// tasks injected outside any workflow.
-	Run string
+	Run string `json:"run,omitempty"`
 	// Task and Visit identify the task instance within the run.
-	Task  wf.TaskID
-	Visit int
+	Task  wf.TaskID `json:"task"`
+	Visit int       `json:"visit"`
 	// Forged marks a task injected by the attacker that is not part of
 	// the workflow specification at all. Forged tasks are undone, never
 	// redone.
-	Forged bool
+	Forged bool `json:"forged,omitempty"`
 	// Reads maps each key read to the observed version.
-	Reads map[data.Key]ReadObs
+	Reads map[data.Key]ReadObs `json:"reads,omitempty"`
 	// Writes maps each key written to the committed value.
-	Writes map[data.Key]data.Value
+	Writes map[data.Key]data.Value `json:"writes,omitempty"`
 	// Chosen is the successor a choice node selected; empty otherwise.
-	Chosen wf.TaskID
+	Chosen wf.TaskID `json:"chosen,omitempty"`
 }
 
 // ID returns the entry's instance ID.

@@ -32,6 +32,11 @@ go test -run '^$' -bench '^Benchmark(Append|Replay)$' -benchtime=1x ./internal/d
 # numbers.
 go test -run '^$' -bench '^Benchmark(ClusterCommit|ReplicationCodec)' -benchtime=1x ./internal/cluster/
 
+# Record-codec fuzz smoke: the cluster record decoder must never panic, and
+# every payload it accepts must re-encode to the identical bytes (seeds:
+# the golden frames and an oversized-count payload).
+go test -run '^$' -fuzz '^FuzzDecodeRecord$' -fuzztime 10s ./internal/cluster/
+
 # Godoc gate: every internal package and every command must carry a package
 # doc comment ("// Package <name> ..." / "// Command <name> ...") so the
 # architecture stays self-describing (docs/ARCHITECTURE.md maps the same
